@@ -6,6 +6,10 @@ set -eux
 
 cargo fmt --check
 cargo build --release
+# The wall-clock benchmark (e2ebench/) is a package of its own built
+# against the workspace crates' public API; building it here makes an
+# API change that breaks it fail CI rather than the benchmark run.
+cargo build --release --offline --locked --manifest-path e2ebench/Cargo.toml
 cargo test -q
 cargo clippy --workspace --all-targets -- -D warnings
 
@@ -146,9 +150,11 @@ wait "$SHARD_PID" 2>/dev/null || true
 
 # Columnar-equivalence gate: the vectorized executor and the batched
 # synopsis inserts must stay bit-identical to the row-at-a-time
-# reference across randomized plans and inputs.
+# reference across randomized plans and inputs, and so must the
+# server's window close (registry fan-out onto the columnar executor).
 cargo test -q -p dt-engine --test columnar_equivalence
 cargo test -q -p dt-synopsis --test columnar_equivalence
+cargo test -q -p dt-registry --test close_equivalence
 
 # Bench smoke: every criterion harness must run end to end on a tiny
 # time budget, and the perf-trajectory snapshot must regenerate. The

@@ -16,8 +16,9 @@
 //!   partially-covered window.
 //! * [`QueryRegistry::close_window`] fans one sealed window — the
 //!   per-stream kept rows and kept/dropped synopses the server's
-//!   workers produced — out to every query active for that window,
-//!   by reference.
+//!   workers produced — out to every query active for that window.
+//!   Each stream's rows become one column batch per window, lent by
+//!   reference to every query's columnar close.
 //!
 //! # The shared-triage invariant
 //!

@@ -8,7 +8,7 @@ use dt_query::{parse_select, Catalog, Planner};
 use dt_triage::{
     DelayConstraint, LaneSpec, QueryClose, QueryExecutor, SharedStream, ShedMode, SynPair,
 };
-use dt_types::{DtError, DtResult, Row, WindowId, WindowSpec};
+use dt_types::{ColumnBatch, DtError, DtResult, Row, WindowId, WindowSpec};
 
 use crate::spec::{QueryId, QueryInfo, QuerySpec};
 
@@ -370,10 +370,13 @@ impl QueryRegistry {
         None
     }
 
-    /// Fan one sealed window out to every query active for it, by
-    /// reference — each query's executor reads its slice of the
-    /// server-wide per-stream state without cloning a row or a
-    /// synopsis. Returns `(QueryId, QueryClose)` pairs in id order.
+    /// Fan one sealed window out to every query active for it. Each
+    /// physical stream a covered query reads is converted to one
+    /// [`ColumnBatch`] per window, and every query's executor borrows
+    /// its slice of those batches and of the sealed synopses for the
+    /// columnar close ([`QueryExecutor::close_ref`]) — fan-out to N
+    /// queries pays for one conversion and clones nothing. Returns
+    /// `(QueryId, QueryClose)` pairs in id order.
     ///
     /// Also advances the emit cursor to `window + 1` *before*
     /// enumerating, so a registration racing this call either misses
@@ -393,13 +396,36 @@ impl QueryRegistry {
         }
         self.emit_cursor.fetch_max(window + 1, Ordering::Relaxed);
         let queries = self.queries.read().expect("registry lock poisoned");
-        let mut out = Vec::new();
-        for q in queries.iter().filter(|q| q.covers(window)) {
-            let rows: Vec<&[Row]> = q.phys.iter().map(|&p| inputs.rows[p].as_slice()).collect();
+        let covered: Vec<&RegisteredQuery> = queries.iter().filter(|q| q.covers(window)).collect();
+        // One column batch per physical stream some covered query
+        // reads, built once and lent to every query on that stream.
+        let mut read = vec![false; self.streams.len()];
+        for q in &covered {
+            for &p in &q.phys {
+                read[p] = true;
+            }
+        }
+        let batches: Vec<ColumnBatch> = self
+            .streams
+            .iter()
+            .zip(inputs.rows)
+            .zip(read)
+            .map(|((s, rows), read)| {
+                let arity = s.schema.arity();
+                if read {
+                    ColumnBatch::from_rows(arity, rows)
+                } else {
+                    ColumnBatch::new(arity)
+                }
+            })
+            .collect();
+        let mut out = Vec::with_capacity(covered.len());
+        for q in covered {
+            let cols: Vec<&ColumnBatch> = q.phys.iter().map(|&p| &batches[p]).collect();
             let pair_refs: Option<Vec<&SynPair>> = inputs
                 .pairs
                 .map(|pairs| q.phys.iter().map(|&p| &pairs[p]).collect());
-            let close = q.exec.close_ref(0, &rows, pair_refs.as_deref())?;
+            let close = q.exec.close_ref(0, &cols, pair_refs.as_deref())?;
             q.windows.fetch_add(1, Ordering::Relaxed);
             q.gauges.windows.inc();
             let est = (close.estimated_share() * 1000.0).round() as u64;

@@ -512,6 +512,55 @@ fn error_budget_closes_noisy_connections_with_a_structured_frame() {
     assert_eq!(total_count(&report.reports[0], 0), 2.0);
 }
 
+/// One frame nested 200k brackets deep used to overflow a reactor
+/// thread's stack and abort the whole process. Now the JSON nesting
+/// cap rejects it as an ordinary malformed frame — one strike against
+/// the connection's error budget — and the server keeps serving that
+/// connection and everyone else, on both ingest planes.
+#[test]
+fn deeply_nested_frame_is_rejected_and_the_server_keeps_serving() {
+    for ingest in [IngestPlane::default(), IngestPlane::Threaded] {
+        let mut catalog = Catalog::new();
+        catalog.add_stream("R", Schema::from_pairs(&[("a", DataType::Int)]));
+        let mut cfg = ServerConfig::new("SELECT a, COUNT(*) FROM R GROUP BY a", catalog);
+        cfg.window = Some(VDuration::from_secs(1));
+        cfg.synopsis = SynopsisConfig::Sparse { cell_width: 1 };
+        cfg.metrics = MetricsRegistry::new();
+        cfg.ingest = ingest;
+
+        let clock = Arc::new(VirtualClock::new());
+        let server =
+            Server::start(&cfg, Some("127.0.0.1:0"), clock.clone()).expect("server starts");
+        let addr = server.addr().expect("bound address");
+        let mut client = Client::connect(addr).expect("client connects");
+        let bomb = format!("{{\"stream\":\"R\",\"row\":{}", "[".repeat(200_000));
+        client.send_line(&bomb).expect("send");
+        poll("nested frame rejected", || {
+            fetch_stats(addr).unwrap().parse_errors == 1
+        });
+        client
+            .send(
+                "R",
+                &Row::from_ints(&[1]),
+                Some(Timestamp::from_micros(100_000)),
+            )
+            .expect("send");
+        poll("same connection still ingests", || {
+            fetch_stats(addr).unwrap().stream("R").unwrap().offered == 1
+        });
+        let metrics = fetch_metrics(addr).expect("metrics");
+        assert!(
+            metrics.contains("dt_server_frames_rejected_total 1"),
+            "{metrics}"
+        );
+
+        client.close().expect("client close");
+        let report = server.shutdown().expect("graceful shutdown");
+        assert_eq!(report.windows_degraded, 0);
+        assert_eq!(total_count(&report.reports[0], 0), 1.0);
+    }
+}
+
 /// An injected worker panic is confined: the supervisor restarts the
 /// worker, the crashed window is emitted degraded with whatever
 /// survived, and later windows are clean.

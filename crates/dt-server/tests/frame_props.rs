@@ -9,7 +9,7 @@
 //! produces), and the [`FrameAssembler`] yields the same line stream
 //! no matter how reads split the bytes.
 
-use dt_server::{parse_frame, render_frame, FrameAssembler};
+use dt_server::{parse_frame, parse_incoming, render_frame, FrameAssembler};
 use dt_types::{Row, Timestamp};
 use proptest::prelude::*;
 
@@ -176,4 +176,17 @@ proptest! {
             prop_assert_eq!(f.ts, Some(*ts));
         }
     }
+}
+
+/// The reproduced wire-boundary crash: one line of 200k `[` used to
+/// recurse once per bracket and overflow the decoding thread's stack.
+/// The parser's nesting cap turns it into an ordinary parse error,
+/// through both the bare JSON decoder and the ingest classifier.
+#[test]
+fn deeply_nested_line_is_an_error_not_a_stack_overflow() {
+    let line = "[".repeat(200_000);
+    assert!(dt_types::Json::parse(&line).is_err());
+    assert!(parse_incoming(&line).is_err());
+    let framed = format!("{{\"stream\":\"R\",\"row\":{line}");
+    assert!(parse_incoming(&framed).is_err());
 }

@@ -17,6 +17,8 @@
 //! Because the executor holds no mutable state, a server can call it
 //! from any thread behind an `Arc` without locking.
 
+use std::borrow::Borrow;
+
 use dt_engine::{ExecMetrics, WindowOutput};
 use dt_obs::MetricsRegistry;
 use dt_query::QueryPlan;
@@ -244,20 +246,24 @@ impl QueryExecutor {
     }
 
     /// Exact batch execution of query `q` over one window's kept rows
-    /// (`shared_rows[i]` holds physical stream `i`'s rows). Aliased
-    /// self-joins read the same shared rows on every FROM position —
-    /// by reference, so no rows are cloned per window close.
+    /// (`shared_rows[i]` holds physical stream `i`'s rows). Each
+    /// stream's rows are converted to one [`ColumnBatch`] and run
+    /// through [`QueryExecutor::exact_batch_cols`] — the same
+    /// columnar executor every other entry point uses.
     pub fn exact_batch(&self, q: usize, shared_rows: &[Vec<Row>]) -> DtResult<WindowOutput> {
-        let query = self
-            .queries
-            .get(q)
-            .ok_or_else(|| DtError::config(format!("unknown query {q}")))?;
-        let inputs: Vec<Vec<&Row>> = query
-            .stream_map
+        if shared_rows.len() != self.streams.len() {
+            return Err(DtError::config(format!(
+                "exact_batch got {} streams, executor has {}",
+                shared_rows.len(),
+                self.streams.len()
+            )));
+        }
+        let batches: Vec<ColumnBatch> = shared_rows
             .iter()
-            .map(|&si| shared_rows[si].iter().collect())
+            .zip(&self.streams)
+            .map(|(rows, s)| ColumnBatch::from_rows(s.schema.arity(), rows))
             .collect();
-        self.metrics.execute_window_rows(&query.plan, &inputs)
+        self.exact_batch_cols(q, &batches)
     }
 
     /// Columnar [`QueryExecutor::exact_batch`]: one window's kept
@@ -266,10 +272,7 @@ impl QueryExecutor {
     /// flow straight into the vectorized executor — aliased FROM
     /// positions share the same batch by reference.
     pub fn exact_batch_cols(&self, q: usize, shared: &[ColumnBatch]) -> DtResult<WindowOutput> {
-        let query = self
-            .queries
-            .get(q)
-            .ok_or_else(|| DtError::config(format!("unknown query {q}")))?;
+        let query = self.query(q)?;
         let inputs: Vec<&ColumnBatch> = query.stream_map.iter().map(|&si| &shared[si]).collect();
         self.metrics.execute_window_cols(&query.plan, &inputs)
     }
@@ -283,38 +286,36 @@ impl QueryExecutor {
         exact: WindowOutput,
         pairs: Option<&[SynPair]>,
     ) -> DtResult<WindowPayload> {
-        let query = self
-            .queries
-            .get(q)
-            .ok_or_else(|| DtError::config(format!("unknown query {q}")))?;
-        let estimate = match pairs {
-            Some(pairs) => {
-                let kept: Vec<&Synopsis> =
-                    query.stream_map.iter().map(|&si| &pairs[si].kept).collect();
-                let dropped: Vec<&Synopsis> = query
-                    .stream_map
-                    .iter()
-                    .map(|&si| &pairs[si].dropped)
-                    .collect();
-                Self::estimate_ref(query, &kept, &dropped)?
-            }
-            None => None,
-        };
+        let query = self.query(q)?;
+        let estimate = Self::estimate(query, pairs)?;
         Ok(Self::build_payload(query, exact, estimate)?.payload)
     }
 
-    /// The shadow estimate over per-stream synopsis references (the
-    /// shared synopses are read in place; only the shadow plan's own
-    /// operations materialize new structures).
-    fn estimate_ref(
+    fn query(&self, q: usize) -> DtResult<&QueryRuntime> {
+        self.queries
+            .get(q)
+            .ok_or_else(|| DtError::config(format!("unknown query {q}")))
+    }
+
+    /// The shadow estimate over the per-stream synopsis pairs
+    /// (`pairs[i]` belongs to executor stream `i`; owned or borrowed).
+    /// The shared synopses are read in place; only the shadow plan's
+    /// own operations materialize new structures.
+    fn estimate<P: Borrow<SynPair>>(
         query: &QueryRuntime,
-        kept: &[&Synopsis],
-        dropped: &[&Synopsis],
+        pairs: Option<&[P]>,
     ) -> DtResult<Option<Synopsis>> {
-        match &query.shadow {
-            Some(shadow) => Ok(Some(evaluate_ref(&shadow.plan, kept, dropped)?)),
-            None => Ok(None),
-        }
+        let (Some(shadow), Some(pairs)) = (&query.shadow, pairs) else {
+            return Ok(None);
+        };
+        let pair = |si: usize| pairs[si].borrow();
+        let kept: Vec<&Synopsis> = query.stream_map.iter().map(|&si| &pair(si).kept).collect();
+        let dropped: Vec<&Synopsis> = query
+            .stream_map
+            .iter()
+            .map(|&si| &pair(si).dropped)
+            .collect();
+        Ok(Some(evaluate_ref(&shadow.plan, &kept, &dropped)?))
     }
 
     /// Merge one query's exact output with its estimate, apply HAVING
@@ -385,71 +386,29 @@ impl QueryExecutor {
     }
 
     /// Close one window for query `q` where the caller supplies this
-    /// executor's per-stream state *by reference* — `shared_rows[i]`
-    /// and `pairs[i]` belong to executor stream `i`. A registry
-    /// fanning one sealed server window out to many attached queries
-    /// selects each query's slices out of a server-wide table without
-    /// cloning a single row or synopsis.
+    /// executor's per-stream state *by reference* — `shared[i]` and
+    /// `pairs[i]` belong to executor stream `i`. A registry fanning
+    /// one sealed server window out to many attached queries converts
+    /// each physical stream to a [`ColumnBatch`] once and lends it to
+    /// every query, so the fan-out clones no row, column or synopsis.
     pub fn close_ref(
         &self,
         q: usize,
-        shared_rows: &[&[Row]],
+        shared: &[&ColumnBatch],
         pairs: Option<&[&SynPair]>,
     ) -> DtResult<QueryClose> {
-        let query = self
-            .queries
-            .get(q)
-            .ok_or_else(|| DtError::config(format!("unknown query {q}")))?;
-        if shared_rows.len() != self.streams.len() {
+        let query = self.query(q)?;
+        if shared.len() != self.streams.len() {
             return Err(DtError::config(format!(
                 "close_ref got {} streams, executor has {}",
-                shared_rows.len(),
+                shared.len(),
                 self.streams.len()
             )));
         }
-        let inputs: Vec<Vec<&Row>> = query
-            .stream_map
-            .iter()
-            .map(|&si| shared_rows[si].iter().collect())
-            .collect();
-        let exact = self.metrics.execute_window_rows(&query.plan, &inputs)?;
-        let estimate = match pairs {
-            Some(pairs) => {
-                let kept: Vec<&Synopsis> =
-                    query.stream_map.iter().map(|&si| &pairs[si].kept).collect();
-                let dropped: Vec<&Synopsis> = query
-                    .stream_map
-                    .iter()
-                    .map(|&si| &pairs[si].dropped)
-                    .collect();
-                Self::estimate_ref(query, &kept, &dropped)?
-            }
-            None => None,
-        };
+        let inputs: Vec<&ColumnBatch> = query.stream_map.iter().map(|&si| shared[si]).collect();
+        let exact = self.metrics.execute_window_cols(&query.plan, &inputs)?;
+        let estimate = Self::estimate(query, pairs)?;
         Self::build_payload(query, exact, estimate)
-    }
-
-    /// Close one window for every query: exact batch execution over
-    /// the shared rows, shadow estimation over the sealed synopses,
-    /// merge. Returns one payload per query, in registration order.
-    pub fn close_batch(
-        &self,
-        shared_rows: &[Vec<Row>],
-        pairs: Option<&[SynPair]>,
-    ) -> DtResult<Vec<WindowPayload>> {
-        if shared_rows.len() != self.streams.len() {
-            return Err(DtError::config(format!(
-                "close_batch got {} streams, executor has {}",
-                shared_rows.len(),
-                self.streams.len()
-            )));
-        }
-        (0..self.queries.len())
-            .map(|q| {
-                let exact = self.exact_batch(q, shared_rows)?;
-                self.payload(q, exact, pairs)
-            })
-            .collect()
     }
 }
 
@@ -471,72 +430,65 @@ mod tests {
             .unwrap()
     }
 
+    /// One window of three kept `a=1` rows and two dropped ones, with
+    /// sealed sparse synopses.
+    fn sealed_window(exec: &QueryExecutor) -> (ColumnBatch, Vec<SynPair>) {
+        let cfg = SynopsisConfig::Sparse { cell_width: 1 };
+        let mut pairs = exec.empty_pairs(&cfg).unwrap();
+        for _ in 0..2 {
+            pairs[0].dropped.insert(&[1]).unwrap();
+        }
+        for _ in 0..3 {
+            pairs[0].kept.insert(&[1]).unwrap();
+        }
+        for p in &mut pairs {
+            p.kept.seal();
+            p.dropped.seal();
+        }
+        let rows: Vec<Row> = (0..3).map(|_| Row::from_ints(&[1])).collect();
+        (ColumnBatch::from_rows(1, &rows), pairs)
+    }
+
     #[test]
-    fn close_batch_merges_exact_and_estimated_counts() {
+    fn close_ref_merges_exact_and_estimated_counts() {
         let exec = QueryExecutor::new(
             vec![plan("SELECT a, COUNT(*) FROM R GROUP BY a")],
             ShedMode::DataTriage,
         )
         .unwrap();
         assert_eq!(exec.streams().len(), 1);
-        let cfg = SynopsisConfig::Sparse { cell_width: 1 };
-        let mut pairs = exec.empty_pairs(&cfg).unwrap();
-        // Three kept rows of a=1, two dropped rows of a=1 summarized.
-        let rows = vec![vec![Row::from_ints(&[1]); 3]];
-        for _ in 0..2 {
-            pairs[0].dropped.insert(&[1]).unwrap();
-        }
-        for _ in 0..3 {
-            pairs[0].kept.insert(&[1]).unwrap();
-        }
-        for p in &mut pairs {
-            p.kept.seal();
-            p.dropped.seal();
-        }
-        let payloads = exec.close_batch(&rows, Some(&pairs)).unwrap();
-        assert_eq!(payloads.len(), 1);
-        match &payloads[0] {
+        let (batch, pairs) = sealed_window(&exec);
+        let pair_refs: Vec<&SynPair> = pairs.iter().collect();
+        let close = exec.close_ref(0, &[&batch], Some(&pair_refs)).unwrap();
+        match &close.payload {
             WindowPayload::Groups(g) => {
                 assert!((g[&Row::from_ints(&[1])][0] - 5.0).abs() < 1e-9);
             }
-            other => panic!("{other:?}"),
-        }
-    }
-
-    #[test]
-    fn close_ref_matches_close_batch_and_accounts_mass() {
-        let exec = QueryExecutor::new(
-            vec![plan("SELECT a, COUNT(*) FROM R GROUP BY a")],
-            ShedMode::DataTriage,
-        )
-        .unwrap();
-        let cfg = SynopsisConfig::Sparse { cell_width: 1 };
-        let mut pairs = exec.empty_pairs(&cfg).unwrap();
-        let rows = vec![vec![Row::from_ints(&[1]); 3]];
-        for _ in 0..2 {
-            pairs[0].dropped.insert(&[1]).unwrap();
-        }
-        for _ in 0..3 {
-            pairs[0].kept.insert(&[1]).unwrap();
-        }
-        for p in &mut pairs {
-            p.kept.seal();
-            p.dropped.seal();
-        }
-        let batch = exec.close_batch(&rows, Some(&pairs)).unwrap();
-        let row_refs: Vec<&[Row]> = rows.iter().map(|r| r.as_slice()).collect();
-        let pair_refs: Vec<&SynPair> = pairs.iter().collect();
-        let close = exec.close_ref(0, &row_refs, Some(&pair_refs)).unwrap();
-        match (&batch[0], &close.payload) {
-            (WindowPayload::Groups(a), WindowPayload::Groups(b)) => assert_eq!(a, b),
             other => panic!("{other:?}"),
         }
         // 3 exact + 2 estimated of the 5 merged: 40% estimated.
         assert!((close.exact_mass - 3.0).abs() < 1e-9);
         assert!((close.merged_mass - 5.0).abs() < 1e-9);
         assert!((close.estimated_share() - 0.4).abs() < 1e-9);
-        // Wrong stream count is rejected.
-        assert!(exec.close_ref(0, &[], None).is_err());
+    }
+
+    #[test]
+    fn close_ref_matches_exact_batch_then_payload() {
+        let exec = QueryExecutor::new(
+            vec![plan("SELECT a, COUNT(*) FROM R GROUP BY a")],
+            ShedMode::DataTriage,
+        )
+        .unwrap();
+        let (batch, pairs) = sealed_window(&exec);
+        let rows = vec![batch.to_rows()];
+        let exact = exec.exact_batch(0, &rows).unwrap();
+        let payload = exec.payload(0, exact, Some(&pairs)).unwrap();
+        let pair_refs: Vec<&SynPair> = pairs.iter().collect();
+        let close = exec.close_ref(0, &[&batch], Some(&pair_refs)).unwrap();
+        match (&payload, &close.payload) {
+            (WindowPayload::Groups(a), WindowPayload::Groups(b)) => assert_eq!(a, b),
+            other => panic!("{other:?}"),
+        }
     }
 
     #[test]
@@ -546,7 +498,9 @@ mod tests {
             ShedMode::DropOnly,
         )
         .unwrap();
-        assert!(exec.close_batch(&[], None).is_err());
+        assert!(exec.close_ref(0, &[], None).is_err());
+        assert!(exec.exact_batch(0, &[]).is_err());
+        assert!(exec.close_ref(1, &[&ColumnBatch::new(1)], None).is_err());
     }
 
     #[test]

@@ -12,9 +12,17 @@
 //! The parser accepts standard JSON (RFC 8259): objects, arrays,
 //! strings with escapes (including `\uXXXX`), numbers, booleans, and
 //! null. Object key order is preserved (`Vec<(String, Json)>`), which
-//! keeps rendering deterministic.
+//! keeps rendering deterministic. Arrays and objects may nest at most
+//! [`MAX_DEPTH`] deep: the parser recurses once per level, so an
+//! unbounded depth would let one wire frame overflow a thread's stack.
 
 use crate::error::{DtError, DtResult};
+
+/// The deepest array/object nesting [`Json::parse`] accepts; a
+/// document nested deeper is a parse error. Wire frames nest two
+/// levels and experiment reports a handful, so the cap only ever
+/// rejects adversarial input.
+pub const MAX_DEPTH: usize = 128;
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -42,6 +50,7 @@ impl Json {
         let mut p = Parser {
             bytes: input.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
@@ -201,6 +210,8 @@ fn write_escaped(out: &mut String, s: &str) {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays/objects currently open around `pos`.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -237,12 +248,24 @@ impl<'a> Parser<'a> {
             Some(b't') => self.eat("true").map(|_| Json::Bool(true)),
             Some(b'f') => self.eat("false").map(|_| Json::Bool(false)),
             Some(b'"') => self.string().map(Json::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(b'-' | b'0'..=b'9') => self.number(),
             Some(_) => Err(self.err("unexpected character")),
             None => Err(self.err("unexpected end of input")),
         }
+    }
+
+    /// Parse one array or object one level deeper, refusing to go
+    /// past [`MAX_DEPTH`].
+    fn nested(&mut self, parse: fn(&mut Self) -> DtResult<Json>) -> DtResult<Json> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(&format!("nesting deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        let v = parse(self);
+        self.depth -= 1;
+        v
     }
 
     fn array(&mut self) -> DtResult<Json> {
@@ -541,6 +564,15 @@ mod tests {
         assert!(Json::parse("\"unterminated").is_err());
         assert!(Json::parse("1 2").is_err());
         assert!(Json::parse("\"\\ud800\"").is_err());
+    }
+
+    #[test]
+    fn nesting_is_capped_at_max_depth() {
+        let nest = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(Json::parse(&nest(MAX_DEPTH)).is_ok());
+        let err = Json::parse(&nest(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.to_string().contains("nesting deeper"), "{err}");
+        assert!(Json::parse(&format!("{{\"a\":{}}}", nest(MAX_DEPTH))).is_err());
     }
 
     #[test]

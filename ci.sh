@@ -10,6 +10,11 @@ cargo build --release
 # against the workspace crates' public API; building it here makes an
 # API change that breaks it fail CI rather than the benchmark run.
 cargo build --release --offline --locked --manifest-path e2ebench/Cargo.toml
+# End-to-end smoke: one short live run of the join workload must
+# deliver the exact answer (its last line is the benchmark's verdict).
+cargo run --release --quiet --offline --locked --manifest-path e2ebench/Cargo.toml -- \
+    --workload join-exact --seconds 10 --trace 0 > /tmp/e2e_smoke.json
+tail -n 1 /tmp/e2e_smoke.json | grep -q '"correct":true'
 cargo test -q
 cargo clippy --workspace --all-targets -- -D warnings
 
@@ -23,9 +28,11 @@ cargo test -q --workspace --doc
 # warning-free and serial: the soak's stall detection and the
 # watchdog's real-time grace want a quiet machine, not test-thread
 # contention. The drain suite pins event-loop shutdown latency with
-# idle connections held open.
+# idle connections held open. The emission suite times how soon after
+# its due time each window leaves the merger, on the wall clock.
 RUSTFLAGS=-Dwarnings cargo test -q -p dt-server --test chaos -- --test-threads=1
 RUSTFLAGS=-Dwarnings cargo test -q -p dt-server --test drain -- --test-threads=1
+RUSTFLAGS=-Dwarnings cargo test -q -p dt-server --test emission -- --test-threads=1
 
 # Observability smoke: start a live dt-serve (stdin held open by the
 # sleep), scrape GET /metrics through the bundled example, and require

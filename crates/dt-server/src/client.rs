@@ -354,6 +354,11 @@ impl StatsReply {
         if body.trim_start().starts_with('{') {
             return Self::parse_json(body);
         }
+        // A connection closed before the reply carries no counters;
+        // it is not a reply with no streams.
+        if body.trim().is_empty() {
+            return Err(DtError::config("empty stats reply"));
+        }
         let mut reply = StatsReply {
             streams: Vec::new(),
             windows_emitted: 0,
@@ -511,6 +516,7 @@ mod tests {
     #[test]
     fn stats_reply_rejects_garbage() {
         assert!(StatsReply::parse("nonsense here").is_err());
+        assert!(StatsReply::parse("").is_err());
         assert!(StatsReply::parse(r#"{"streams":[{"name":"R"}]}"#).is_err());
         assert!(StatsReply::parse(r#"{"windows_emitted":1}"#).is_err());
     }

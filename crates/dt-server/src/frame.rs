@@ -246,6 +246,17 @@ pub fn render_frame_tagged(
     Ok(dt_types::json::obj(fields).render())
 }
 
+/// The longest frame line the [`FrameAssembler`] buffers. A line
+/// that grows past it without a newline is rejected and its bytes are
+/// discarded through the next newline, so no byte stream can grow a
+/// connection's buffer without bound.
+pub const MAX_FRAME_BYTES: usize = 1 << 20;
+
+/// A frame line longer than [`MAX_FRAME_BYTES`]: its bytes were
+/// discarded, and it counts as one rejected frame.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct FrameTooLong;
+
 /// Incremental NDJSON line splitter over raw socket reads.
 ///
 /// The ingest loop feeds whatever byte chunks the socket yields —
@@ -253,12 +264,19 @@ pub fn render_frame_tagged(
 /// and pulls complete lines out one at a time. Invalid UTF-8 is
 /// replaced (the replacement characters then fail frame parsing and
 /// count against the connection's error budget rather than killing
-/// the read loop).
+/// the read loop). Draining [`FrameAssembler::next_frame`] after every
+/// push, as both ingest planes do, keeps the buffer within
+/// [`MAX_FRAME_BYTES`] plus one chunk.
 #[derive(Debug, Default)]
 pub struct FrameAssembler {
     buf: Vec<u8>,
     /// Read cursor into `buf`; consumed bytes are compacted lazily.
     pos: usize,
+    /// Where the newline search resumes: `buf[pos..scan]` holds none,
+    /// so a long fragment is scanned once, not once per push.
+    scan: usize,
+    /// Discarding a rejected oversized line through its newline.
+    skip: bool,
 }
 
 impl FrameAssembler {
@@ -267,27 +285,62 @@ impl FrameAssembler {
     }
 
     /// Append a chunk of raw bytes from the socket.
-    pub fn push(&mut self, chunk: &[u8]) {
+    pub fn push(&mut self, mut chunk: &[u8]) {
+        if self.skip {
+            match chunk.iter().position(|&b| b == b'\n') {
+                Some(nl) => {
+                    self.skip = false;
+                    chunk = &chunk[nl + 1..];
+                }
+                None => return,
+            }
+        }
         // Compact once the consumed prefix dominates, so a long-lived
         // connection doesn't grow the buffer without bound.
         if self.pos > 4096 && self.pos * 2 > self.buf.len() {
             self.buf.drain(..self.pos);
+            self.scan -= self.pos;
             self.pos = 0;
         }
         self.buf.extend_from_slice(chunk);
     }
 
-    /// Pull the next complete line (without its newline), if any.
-    pub fn next_line(&mut self) -> Option<String> {
-        let rest = &self.buf[self.pos..];
-        let nl = rest.iter().position(|&b| b == b'\n')?;
-        let mut line = &rest[..nl];
+    /// Pull the next complete line (without its newline), or the
+    /// rejection of a line longer than [`MAX_FRAME_BYTES`], if any.
+    pub fn next_frame(&mut self) -> Option<Result<String, FrameTooLong>> {
+        let Some(nl) = self.buf[self.scan..].iter().position(|&b| b == b'\n') else {
+            if self.buf.len() - self.pos > MAX_FRAME_BYTES {
+                // Drop the fragment now and the rest of the line as
+                // it arrives.
+                self.buf.clear();
+                self.pos = 0;
+                self.scan = 0;
+                self.skip = true;
+                return Some(Err(FrameTooLong));
+            }
+            self.scan = self.buf.len();
+            return None;
+        };
+        let end = self.scan + nl;
+        let mut line = &self.buf[self.pos..end];
+        self.pos = end + 1;
+        self.scan = self.pos;
         if line.last() == Some(&b'\r') {
             line = &line[..line.len() - 1];
         }
-        let text = String::from_utf8_lossy(line).into_owned();
-        self.pos += nl + 1;
-        Some(text)
+        if line.len() > MAX_FRAME_BYTES {
+            return Some(Err(FrameTooLong));
+        }
+        Some(Ok(String::from_utf8_lossy(line).into_owned()))
+    }
+
+    /// Pull the next complete line, passing over oversized ones.
+    pub fn next_line(&mut self) -> Option<String> {
+        loop {
+            if let Ok(line) = self.next_frame()? {
+                return Some(line);
+            }
+        }
     }
 
     /// Take whatever trailing partial line remains (no newline seen).
@@ -302,6 +355,8 @@ impl FrameAssembler {
         };
         self.buf.clear();
         self.pos = 0;
+        self.scan = 0;
+        self.skip = false;
         out
     }
 }
@@ -449,5 +504,43 @@ mod tests {
             "buffer grew to {}",
             asm.buf.len()
         );
+    }
+
+    #[test]
+    fn assembler_caps_a_line_without_newline() {
+        let mut asm = FrameAssembler::new();
+        let chunk = [b'x'; 4096];
+        let mut rejected = 0;
+        for _ in 0..(8 << 20) / chunk.len() {
+            asm.push(&chunk);
+            while let Some(frame) = asm.next_frame() {
+                assert_eq!(frame, Err(FrameTooLong));
+                rejected += 1;
+            }
+            assert!(
+                asm.buf.len() <= MAX_FRAME_BYTES + chunk.len(),
+                "buffer grew to {}",
+                asm.buf.len()
+            );
+        }
+        assert_eq!(rejected, 1, "one oversized line is one rejected frame");
+        // The rest of the oversized line ends at the next newline; the
+        // line after it parses.
+        asm.push(b"xxxx\n{\"stream\":\"R\",\"row\":[1]}\n");
+        let line = asm.next_frame().expect("a line").expect("within the cap");
+        assert_eq!(parse_frame(&line).unwrap().stream, "R");
+        assert_eq!(asm.next_frame(), None);
+        assert_eq!(asm.take_partial(), None);
+    }
+
+    #[test]
+    fn assembler_rejects_a_complete_line_over_the_cap() {
+        let mut asm = FrameAssembler::new();
+        let mut long = vec![b'x'; MAX_FRAME_BYTES + 1];
+        long.extend_from_slice(b"\nok\n");
+        asm.push(&long);
+        assert_eq!(asm.next_frame(), Some(Err(FrameTooLong)));
+        assert_eq!(asm.next_frame(), Some(Ok("ok".to_string())));
+        assert_eq!(asm.next_frame(), None);
     }
 }

@@ -76,12 +76,16 @@ impl IngestSession {
                 out.push(b'\n');
                 false
             }
-            Err(_) => {
-                handle.note_rejected_frame();
-                self.errors += 1;
-                self.errors >= handle.error_budget()
-            }
+            Err(_) => self.reject(handle),
         }
+    }
+
+    /// Account one rejected frame; `true` means the error budget is
+    /// exhausted.
+    fn reject(&mut self, handle: &ServerHandle) -> bool {
+        handle.note_rejected_frame();
+        self.errors += 1;
+        self.errors >= handle.error_budget()
     }
 
     /// Release every held line due at or before line index `upto`
@@ -167,6 +171,18 @@ impl IngestSession {
             // unread, exactly like a torn network path.
             handle.obs().faults_injected[FAULT_DISCONNECT].inc();
             let _ = self.release_held(handle, out, u64::MAX);
+            return LineVerdict::Close;
+        }
+        LineVerdict::Open
+    }
+
+    /// A line longer than [`crate::MAX_FRAME_BYTES`] was cut out of
+    /// the byte stream: one rejected frame against the budget, closing
+    /// with the farewell frame once the budget is spent.
+    pub(crate) fn on_too_long(&mut self, handle: &ServerHandle, out: &mut Vec<u8>) -> LineVerdict {
+        self.first = false;
+        if self.reject(handle) {
+            self.farewell(handle, out);
             return LineVerdict::Close;
         }
         LineVerdict::Open

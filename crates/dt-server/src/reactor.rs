@@ -32,7 +32,7 @@
 //!   counted in ticks, not wall time, so a frozen `VirtualClock`
 //!   changes nothing.
 
-use crate::frame::FrameAssembler;
+use crate::frame::{FrameAssembler, FrameTooLong};
 use crate::ingest::{IngestSession, LineVerdict};
 use crate::obs::{ReactorObs, FAULT_READ_CHOP, FAULT_READ_DISCONNECT};
 use crate::server::ServerHandle;
@@ -357,8 +357,12 @@ fn pump<S: ConnIo>(
                 obs.read_burst.observe(n as u64);
                 burst += n;
                 conn.asm.push(&buf[..n]);
-                while let Some(line) = conn.asm.next_line() {
-                    if conn.session.on_line(handle, &line, &mut conn.out) == LineVerdict::Close {
+                while let Some(frame) = conn.asm.next_frame() {
+                    let verdict = match frame {
+                        Ok(line) => conn.session.on_line(handle, &line, &mut conn.out),
+                        Err(FrameTooLong) => conn.session.on_too_long(handle, &mut conn.out),
+                    };
+                    if verdict == LineVerdict::Close {
                         conn.closing = true;
                         return Step::Settle;
                     }

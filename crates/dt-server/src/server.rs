@@ -10,7 +10,7 @@
 
 use crate::config::ServerConfig;
 use crate::fault::FaultPlan;
-use crate::frame::{parse_frame, parse_incoming, Command, FrameAssembler, Incoming};
+use crate::frame::{parse_frame, parse_incoming, Command, FrameAssembler, FrameTooLong, Incoming};
 use crate::ingest::{IngestSession, LineVerdict};
 use crate::obs::{ServerObs, WorkerObs, FAULT_PANIC, FAULT_STALL};
 use crate::stats::query_info_json;
@@ -35,9 +35,10 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-/// How often the merger wakes to check the clock, and how often
-/// blocked connection reads re-check the stop flag.
+/// The longest the merger blocks on its inbox before re-reading the
+/// clock, so the watchdog and virtual-clock tests are still looked at.
 const MERGER_POLL: Duration = Duration::from_millis(2);
+/// How often blocked connection reads re-check the stop flag.
 const CONN_READ_TIMEOUT: Duration = Duration::from_millis(50);
 
 /// Real time the watchdog waits after a watermark broadcast before it
@@ -48,7 +49,11 @@ const CONN_READ_TIMEOUT: Duration = Duration::from_millis(50);
 /// healthy seal already in flight.
 const WATCHDOG_REAL_GRACE: Duration = Duration::from_millis(200);
 
-enum MergerMsg {
+/// The merger's one inbox: workers send their sealed partials,
+/// `shutdown` sends `Stop` once every worker has drained and joined
+/// (so every partial is already ahead of it in the queue).
+pub(crate) enum MergerMsg {
+    Sealed(Box<SealedWindow>),
     Stop,
 }
 
@@ -455,7 +460,7 @@ impl Server {
         let mut routers = Vec::new();
         let mut ctl_tx = Vec::new();
         let mut workers = Vec::new();
-        let (sealed_tx, sealed_rx) = unbounded::<SealedWindow>();
+        let (merger_tx, merger_rx) = unbounded::<MergerMsg>();
         for (i, s) in registry.streams().iter().enumerate() {
             // The whole group drains one backlog: the controller's
             // threshold scales with the number of drains.
@@ -485,7 +490,7 @@ impl Server {
                     factory,
                     queues: Arc::clone(&q),
                     ctl_rx: crx,
-                    sealed_tx: sealed_tx.clone(),
+                    merger_tx: merger_tx.clone(),
                     clock: Arc::clone(&clock),
                     pace: cfg.pace_by_timestamp,
                     spec,
@@ -518,7 +523,6 @@ impl Server {
             }
             queues.push(q);
         }
-        drop(sealed_tx);
 
         let inner = Arc::new(Inner {
             registry,
@@ -542,23 +546,13 @@ impl Server {
             inner: Arc::clone(&inner),
         };
 
-        let (merger_tx, merger_rx) = unbounded::<MergerMsg>();
         let merger_inner = Arc::clone(&inner);
         let synopsis = cfg.synopsis;
         let grace = cfg.grace;
         let watchdog = cfg.seal_watchdog;
         let merger = std::thread::Builder::new()
             .name("dt-merger".to_string())
-            .spawn(move || {
-                run_merger(
-                    merger_inner,
-                    synopsis,
-                    grace,
-                    watchdog,
-                    sealed_rx,
-                    merger_rx,
-                )
-            })
+            .spawn(move || run_merger(merger_inner, synopsis, grace, watchdog, merger_rx))
             .map_err(|e| DtError::engine(format!("spawn merger: {e}")))?;
 
         let conns: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
@@ -705,17 +699,48 @@ enum Fill {
     Forced,
 }
 
+/// The last window whose end plus `grace` has passed at clock reading
+/// `now` — how far the seal watermark may reach — or `None` before
+/// window 0 is due.
+fn sealable_through(spec: WindowSpec, grace: VDuration, now: Timestamp) -> Option<WindowId> {
+    let lag = (spec.width() + grace).micros();
+    (now.micros() >= lag).then(|| (now.micros() - lag) / spec.slide().micros())
+}
+
+/// When the merger's next seal watermark falls due on the server
+/// clock: the end of the first window not yet sealed, plus the grace
+/// period — the first reading at which [`sealable_through`] passes
+/// `last_seal`.
+fn next_seal_due(spec: WindowSpec, grace: VDuration, last_seal: Option<WindowId>) -> Timestamp {
+    spec.window_end(last_seal.map_or(0, |s| s + 1)) + grace
+}
+
+/// How long the merger may block on its inbox at clock reading `now`:
+/// until the next watermark falls `due`, capped at [`MERGER_POLL`].
+/// `frozen` means the clock did not move across the previous timed-out
+/// wait — a virtual clock only moves when a test moves it, so the
+/// distance to `due` says nothing about real time and the merger waits
+/// the full poll instead of spinning on a short one.
+fn merger_wait(due: Timestamp, now: Timestamp, frozen: bool) -> Duration {
+    if frozen {
+        return MERGER_POLL;
+    }
+    Duration::from_micros(due.micros().saturating_sub(now.micros())).min(MERGER_POLL)
+}
+
 /// The merger loop: collect sealed per-stream windows, emit each
 /// window (strictly in id order) once every stream has sealed it,
 /// drive the seal watermark off the clock, and force-seal past
-/// stalled workers once the watchdog deadline passes.
+/// stalled workers once the watchdog deadline passes. It blocks only
+/// on its inbox, until the next partial arrives or the next watermark
+/// falls due, so a window is emitted as soon as its last partial
+/// lands.
 fn run_merger(
     inner: Arc<Inner>,
     synopsis: SynopsisConfig,
     grace: VDuration,
     watchdog: Option<VDuration>,
-    sealed_rx: Receiver<SealedWindow>,
-    merger_rx: Receiver<MergerMsg>,
+    inbox: Receiver<MergerMsg>,
 ) -> DtResult<ServerReport> {
     let registry = &inner.registry;
     let spec = registry.spec();
@@ -731,28 +756,26 @@ fn run_merger(
     let mut next_emit: WindowId = 0;
     let mut last_seal: Option<WindowId> = None;
     let mut last_seal_sent = std::time::Instant::now();
-
-    // Seals for windows below `next_emit` are *stale*: the watchdog
-    // already force-sealed them, and a late contribution must not
-    // resurrect an emitted window.
-    let collect = |pending: &mut BTreeMap<WindowId, Vec<Option<SealedWindow>>>,
-                   next_emit: WindowId| {
-        for s in sealed_rx.try_iter() {
-            if s.window < next_emit {
-                continue;
-            }
-            let (win, slot) = (s.window, s.stream * shards + s.shard);
-            pending.entry(win).or_insert_with(|| vec![None; n_slots])[slot] = Some(s);
-        }
-    };
+    let mut frozen = false;
 
     loop {
-        let stop = match merger_rx.recv_timeout(MERGER_POLL) {
-            Ok(MergerMsg::Stop) => true,
-            Err(crossbeam::channel::RecvTimeoutError::Timeout) => false,
-            Err(crossbeam::channel::RecvTimeoutError::Disconnected) => true,
+        let waited_from = inner.clock.now();
+        let wait = merger_wait(next_seal_due(spec, grace, last_seal), waited_from, frozen);
+        let (stop, timed_out) = match inbox.recv_timeout(wait) {
+            // Seals for windows below `next_emit` are *stale*: the
+            // watchdog already force-sealed them, and a late
+            // contribution must not resurrect an emitted window.
+            Ok(MergerMsg::Sealed(s)) => {
+                if s.window >= next_emit {
+                    let (win, slot) = (s.window, s.stream * shards + s.shard);
+                    pending.entry(win).or_insert_with(|| vec![None; n_slots])[slot] = Some(*s);
+                }
+                (false, false)
+            }
+            Ok(MergerMsg::Stop) => (true, false),
+            Err(crossbeam::channel::RecvTimeoutError::Timeout) => (false, true),
+            Err(crossbeam::channel::RecvTimeoutError::Disconnected) => (true, false),
         };
-        collect(&mut pending, next_emit);
 
         if stop {
             // Workers have drained and joined; every sealed window is
@@ -795,6 +818,7 @@ fn run_merger(
         }
 
         let now = inner.clock.now();
+        frozen = timed_out && !wait.is_zero() && now == waited_from;
 
         // The sealer watchdog: the watermark has covered `next_emit`
         // (a healthy worker seals promptly on the watermark message),
@@ -831,9 +855,7 @@ fn run_merger(
 
         // Advance the seal watermark: every window whose end (plus
         // grace) has passed gets sealed on all streams.
-        let lag = (spec.width() + grace).micros();
-        if now.micros() >= lag {
-            let upto = (now.micros() - lag) / spec.slide().micros();
+        if let Some(upto) = sealable_through(spec, grace, now) {
             if last_seal.is_none_or(|s| upto > s) {
                 inner
                     .obs
@@ -1176,8 +1198,11 @@ fn serve_conn(stream: TcpStream, handle: ServerHandle) {
             }
             Ok(n) => {
                 asm.push(&buf[..n]);
-                while let Some(line) = asm.next_line() {
-                    let verdict = session.on_line(&handle, &line, &mut out);
+                while let Some(frame) = asm.next_frame() {
+                    let verdict = match frame {
+                        Ok(line) => session.on_line(&handle, &line, &mut out),
+                        Err(FrameTooLong) => session.on_too_long(&handle, &mut out),
+                    };
                     flush(&mut writer, &mut out);
                     if verdict == LineVerdict::Close {
                         return;
@@ -1200,5 +1225,72 @@ fn serve_conn(stream: TcpStream, handle: ServerHandle) {
                 return;
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use dt_types::VirtualClock;
+
+    fn specs() -> Vec<WindowSpec> {
+        vec![
+            WindowSpec::new(VDuration::from_millis(20)).unwrap(),
+            WindowSpec::hopping(VDuration::from_millis(20), VDuration::from_millis(5)).unwrap(),
+            WindowSpec::seconds(1).unwrap(),
+        ]
+    }
+
+    #[test]
+    fn seal_is_due_exactly_at_window_end_plus_grace() {
+        let grace = VDuration::from_millis(5);
+        for spec in specs() {
+            for last_seal in [None, Some(0), Some(7), Some(1000)] {
+                let next = last_seal.map_or(0, |s| s + 1);
+                let due = next_seal_due(spec, grace, last_seal);
+                assert_eq!(due, spec.window_end(next) + grace, "{spec:?}");
+                // Never before the window's end plus grace: one
+                // microsecond earlier the watermark cannot reach it,
+                // at the due time it does.
+                let before = Timestamp::from_micros(due.micros() - 1);
+                assert!(sealable_through(spec, grace, before) < Some(next));
+                assert_eq!(sealable_through(spec, grace, due), Some(next));
+            }
+        }
+    }
+
+    #[test]
+    fn merger_wait_never_exceeds_the_poll() {
+        let spec = specs()[0];
+        let grace = VDuration::from_millis(5);
+        let due = next_seal_due(spec, grace, Some(3));
+        for ahead_us in [0, 1, 500, 1999, 2000, 2001, 10_000, 1_000_000] {
+            let now = Timestamp::from_micros(due.micros().saturating_sub(ahead_us));
+            let wait = merger_wait(due, now, false);
+            assert!(wait <= MERGER_POLL, "{ahead_us} µs ahead: {wait:?}");
+            assert_eq!(wait, Duration::from_micros(ahead_us).min(MERGER_POLL));
+        }
+        // A reading past the due time (a virtual clock jumped) does
+        // not wait at all: the watermark is sent on this pass.
+        let late = Timestamp::from_micros(due.micros() + 50);
+        assert_eq!(merger_wait(due, late, false), Duration::ZERO);
+    }
+
+    #[test]
+    fn frozen_virtual_clock_waits_the_full_poll() {
+        let spec = specs()[1];
+        let grace = VDuration::from_millis(5);
+        let clock = VirtualClock::new();
+        // Freeze the clock 100 µs short of the next due time.
+        clock.set(Timestamp::from_micros(4 * 5_000 + 20_000 + 5_000 + 4_900));
+        let last_seal = sealable_through(spec, grace, clock.now());
+        let due = next_seal_due(spec, grace, last_seal);
+        assert!(due > clock.now());
+        // The first wait aims at the due time...
+        let first = merger_wait(due, clock.now(), false);
+        assert_eq!(first, Duration::from_micros(100));
+        // ...but once a timed-out wait shows the clock did not move,
+        // the merger waits the full poll, never a short or zero one.
+        assert_eq!(merger_wait(due, clock.now(), true), MERGER_POLL);
     }
 }

@@ -1,11 +1,14 @@
 //! The per-stream triage worker thread and its panic supervisor.
 //!
 //! Each worker owns one stream's [`StreamTriage`] and two inbound
-//! lanes: the **bounded data channel** (the triage queue — ingest
-//! `try_send`s kept tuples here) and an unbounded **control lane**
-//! carrying shed victims, seal watermarks, and the stop request.
-//! Control is drained first so a full data channel can never starve
-//! sealing or victim accounting.
+//! lanes: its shard of the stream's **bounded triage queue**
+//! ([`ShardQueues`] — ingest pushes kept tuples there) and an
+//! unbounded **control lane** carrying shed victims, seal watermarks,
+//! and the stop request. Control is drained first so a full queue can
+//! never starve sealing or victim accounting. An idle worker blocks on
+//! its control lane, so a watermark — or the first shed victim, which
+//! means its queue just overflowed — wakes it at once. Sealed windows
+//! go to the merger's inbox.
 //!
 //! With `pace` set, the worker refuses to consume a tuple before the
 //! server clock reaches its timestamp, holding at most **one** tuple
@@ -31,18 +34,21 @@
 
 use crate::fault::FaultPlan;
 use crate::obs::WorkerObs;
+use crate::server::MergerMsg;
 use crate::stats::ServerStats;
 use crossbeam::channel::{Receiver, Sender, TryRecvError};
 use dt_obs::{Counter, MetricsRegistry};
 use dt_synopsis::SynopsisConfig;
-use dt_triage::{SealedWindow, ShardQueues, SharedController, ShedMode, StreamTriage};
+use dt_triage::{ShardQueues, SharedController, ShedMode, StreamTriage};
 use dt_types::{Clock, DtResult, Tuple, WindowId, WindowSpec};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// How long the worker parks between polls when idle or paced.
+/// The longest an idle worker blocks on its control lane before it
+/// looks at its queue again, and how long a paced worker naps while
+/// its parked tuple is still ahead of the clock.
 const POLL: Duration = Duration::from_micros(500);
 
 /// A tuple stamped with its per-stream ingest sequence number —
@@ -102,7 +108,8 @@ pub(crate) struct WorkerCtx {
     /// queue `shard` and steals from siblings when idle.
     pub queues: Arc<ShardQueues<SeqTuple>>,
     pub ctl_rx: Receiver<Ctl>,
-    pub sealed_tx: Sender<SealedWindow>,
+    /// The merger's inbox, where sealed windows go.
+    pub merger_tx: Sender<MergerMsg>,
     pub clock: Arc<dyn Clock>,
     pub pace: bool,
     pub spec: WindowSpec,
@@ -191,7 +198,7 @@ pub(crate) fn run_worker(ctx: WorkerCtx) -> DtResult<()> {
         factory,
         queues,
         ctl_rx,
-        sealed_tx,
+        merger_tx,
         clock,
         pace,
         spec,
@@ -215,7 +222,7 @@ pub(crate) fn run_worker(ctx: WorkerCtx) -> DtResult<()> {
                 &mut triage,
                 &queues,
                 &ctl_rx,
-                &sealed_tx,
+                &merger_tx,
                 &clock,
                 pace,
                 spec,
@@ -257,7 +264,7 @@ pub(crate) fn run_worker(ctx: WorkerCtx) -> DtResult<()> {
                         c.on_dequeue(n);
                     }
                     for w in triage.seal_all()? {
-                        let _ = sealed_tx.send(w);
+                        let _ = merger_tx.send(MergerMsg::Sealed(Box::new(w)));
                     }
                     return Ok(());
                 }
@@ -275,7 +282,7 @@ fn worker_loop(
     triage: &mut StreamTriage,
     queues: &Arc<ShardQueues<SeqTuple>>,
     ctl_rx: &Receiver<Ctl>,
-    sealed_tx: &Sender<SealedWindow>,
+    merger_tx: &Sender<MergerMsg>,
     clock: &Arc<dyn Clock>,
     pace: bool,
     spec: WindowSpec,
@@ -291,8 +298,14 @@ fn worker_loop(
 ) -> DtResult<()> {
     // Reusable drain buffer for the batched seal/stop paths.
     let mut batch: Vec<SeqTuple> = Vec::new();
+    // A control message that ended an idle wait, served first.
+    let mut woke: Option<Ctl> = None;
     loop {
-        match ctl_rx.try_recv() {
+        let ctl = match woke.take() {
+            Some(c) => Ok(c),
+            None => ctl_rx.try_recv(),
+        };
+        match ctl {
             Ok(Ctl::Shed(t, seq)) => {
                 let start = controller.map(|_| Instant::now());
                 if !triage.shed_seq(&t, seq)? {
@@ -344,7 +357,7 @@ fn worker_loop(
                 batch.clear();
                 panic_check(fault, stream, consumed, n, fault_panic_ctr);
                 for w in triage.seal_through(upto)? {
-                    let _ = sealed_tx.send(w);
+                    let _ = merger_tx.send(MergerMsg::Sealed(Box::new(w)));
                 }
                 continue;
             }
@@ -373,7 +386,7 @@ fn worker_loop(
                     }
                 }
                 for w in triage.seal_all()? {
-                    let _ = sealed_tx.send(w);
+                    let _ = merger_tx.send(MergerMsg::Sealed(Box::new(w)));
                 }
                 return Ok(());
             }
@@ -381,7 +394,7 @@ fn worker_loop(
             Err(TryRecvError::Disconnected) => {
                 // Server dropped without Stop; emit what we have.
                 for w in triage.seal_all()? {
-                    let _ = sealed_tx.send(w);
+                    let _ = merger_tx.send(MergerMsg::Sealed(Box::new(w)));
                 }
                 return Ok(());
             }
@@ -428,7 +441,9 @@ fn worker_loop(
                     Vec::new()
                 };
                 if stolen.is_empty() {
-                    std::thread::sleep(POLL);
+                    // Idle: block on the control lane. A disconnect
+                    // returns at once and the next `try_recv` sees it.
+                    woke = ctl_rx.recv_timeout(POLL).ok();
                 } else {
                     obs.queue_depth.sub(stolen.len() as i64);
                     if let Some(c) = controller {

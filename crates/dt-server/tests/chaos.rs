@@ -561,6 +561,61 @@ fn deeply_nested_frame_is_rejected_and_the_server_keeps_serving() {
     }
 }
 
+/// A sender that streams 8 MiB without a newline cannot grow the
+/// connection's buffer past the frame cap: the line is rejected as one
+/// frame against the error budget as soon as it outgrows the cap, its
+/// bytes are discarded through the next newline, and the same
+/// connection keeps ingesting, on both ingest planes.
+#[test]
+fn oversized_frame_is_rejected_and_the_server_keeps_serving() {
+    use std::io::Write;
+    for ingest in [IngestPlane::default(), IngestPlane::Threaded] {
+        let mut catalog = Catalog::new();
+        catalog.add_stream("R", Schema::from_pairs(&[("a", DataType::Int)]));
+        let mut cfg = ServerConfig::new("SELECT a, COUNT(*) FROM R GROUP BY a", catalog);
+        cfg.window = Some(VDuration::from_secs(1));
+        cfg.synopsis = SynopsisConfig::Sparse { cell_width: 1 };
+        cfg.metrics = MetricsRegistry::new();
+        cfg.ingest = ingest;
+
+        let clock = Arc::new(VirtualClock::new());
+        let server =
+            Server::start(&cfg, Some("127.0.0.1:0"), clock.clone()).expect("server starts");
+        let addr = server.addr().expect("bound address");
+        let mut sock = std::net::TcpStream::connect(addr).expect("connects");
+        let chunk = vec![b'x'; 64 * 1024];
+        for _ in 0..(8 << 20) / chunk.len() {
+            sock.write_all(&chunk).expect("send");
+        }
+        // Rejected before any newline arrives.
+        poll("oversized frame rejected", || {
+            fetch_stats(addr).unwrap().parse_errors == 1
+        });
+        let frame = render_frame(
+            "R",
+            &Row::from_ints(&[1]),
+            Some(Timestamp::from_micros(100_000)),
+        )
+        .expect("frame");
+        sock.write_all(format!("tail\n{frame}\n").as_bytes())
+            .expect("send");
+        poll("same connection still ingests", || {
+            fetch_stats(addr).unwrap().stream("R").unwrap().offered == 1
+        });
+        assert_eq!(fetch_stats(addr).unwrap().parse_errors, 1);
+        let metrics = fetch_metrics(addr).expect("metrics");
+        assert!(
+            metrics.contains("dt_server_frames_rejected_total 1"),
+            "{metrics}"
+        );
+
+        drop(sock);
+        let report = server.shutdown().expect("graceful shutdown");
+        assert_eq!(report.windows_degraded, 0);
+        assert_eq!(total_count(&report.reports[0], 0), 1.0);
+    }
+}
+
 /// An injected worker panic is confined: the supervisor restarts the
 /// worker, the crashed window is emitted degraded with whatever
 /// survived, and later windows are clean.
